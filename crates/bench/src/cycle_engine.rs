@@ -980,7 +980,7 @@ mod tests {
         assert!(a.kernel_health.event_steps() > 0);
         let text = report_json(&[a]).render();
         assert!(text.contains("\"kernel_health\""));
-        assert!(text.contains("\"fallback_reasons\""));
+        assert!(text.contains("\"fallback_steps\": 0"));
     }
 
     #[test]

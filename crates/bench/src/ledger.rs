@@ -256,10 +256,10 @@ fn mean_latency_of_report(report: &Json) -> Option<f64> {
 /// digest the resume journal checks — so only identically-parameterized
 /// campaigns are compared.
 ///
-/// No kernel section: campaign grid points run with monitors armed, so
-/// their dispatch mix is all-fallback by construction and carries no
-/// signal. `pool` is the worker pool's (wall-clock, quarantined)
-/// utilization.
+/// No kernel section: the report carries no per-point kernel health
+/// (introspection stays out of byte-compared campaign reports), and
+/// every grid point runs on the event kernel anyway. `pool` is the
+/// worker pool's (wall-clock, quarantined) utilization.
 #[must_use]
 pub fn campaign_record(
     report: &CampaignReport,

@@ -263,37 +263,43 @@ impl ProtocolMonitor {
 
     /// Once-per-cycle structural checks against the channel's endpoint
     /// state: window well-formedness (aliasing), conservation, liveness.
-    pub fn check_endpoints(&mut self, ch: usize, tx: &LinkTx, rx: &LinkRx, cycle: u64) {
+    ///
+    /// Returns true when the channel must be checked next cycle even if
+    /// none of its endpoints moves: the monitor still holds undelivered
+    /// flits on it (liveness depends on the clock) or its conservation
+    /// is broken (the violation re-records every cycle). On any other
+    /// channel, a repeat check with unchanged endpoints records nothing.
+    pub fn check_endpoints(&mut self, ch: usize, tx: &LinkTx, rx: &LinkRx, cycle: u64) -> bool {
         // Window well-formedness: distinct, contiguous sequence numbers,
-        // occupancy within capacity.
-        let seqs: Vec<u8> = tx.window_seqs().collect();
-        if seqs.len() > tx.capacity() {
-            let detail = format!(
-                "window holds {} flits, capacity {}",
-                seqs.len(),
-                tx.capacity()
-            );
-            self.record(cycle, ch, InvariantKind::SeqAliasing, detail);
-        }
+        // occupancy within capacity — one pass, no allocation. The
+        // sequence list is collected only to render a violation.
+        let mut len = 0usize;
         let mut mask = 0u64;
         let mut aliased = false;
-        for &s in &seqs {
+        let mut contiguous = true;
+        let mut prev = None;
+        for s in tx.window_seqs() {
+            len += 1;
             if mask & (1u64 << s) != 0 {
                 aliased = true;
             }
             mask |= 1u64 << s;
+            if prev.is_some_and(|p| s != seq_next(p)) {
+                contiguous = false;
+            }
+            prev = Some(s);
+        }
+        let seqs = || tx.window_seqs().collect::<Vec<u8>>();
+        if len > tx.capacity() {
+            let detail = format!("window holds {len} flits, capacity {}", tx.capacity());
+            self.record(cycle, ch, InvariantKind::SeqAliasing, detail);
         }
         if aliased {
-            let detail = format!("window holds duplicate sequence numbers: {seqs:?}");
+            let detail = format!("window holds duplicate sequence numbers: {:?}", seqs());
             self.record(cycle, ch, InvariantKind::SeqAliasing, detail);
-        } else {
-            for pair in seqs.windows(2) {
-                if pair[1] != seq_next(pair[0]) {
-                    let detail = format!("window numbering not contiguous: {seqs:?}");
-                    self.record(cycle, ch, InvariantKind::SeqAliasing, detail);
-                    break;
-                }
-            }
+        } else if !contiguous {
+            let detail = format!("window numbering not contiguous: {:?}", seqs());
+            self.record(cycle, ch, InvariantKind::SeqAliasing, detail);
         }
 
         // Conservation: every new flit is either accepted or still in
@@ -302,6 +308,7 @@ impl ProtocolMonitor {
         let accepted = rx.accepted();
         let chan = &self.chans[ch];
         let pending = chan.pending.len() as u64;
+        let mut broken = true;
         if accepted > new_sent {
             let detail =
                 format!("receiver accepted {accepted} flits but only {new_sent} were sent");
@@ -315,6 +322,8 @@ impl ProtocolMonitor {
                  in transit {pending}"
             );
             self.record(cycle, ch, InvariantKind::Conservation, detail);
+        } else {
+            broken = false;
         }
 
         // Liveness: undelivered flits must make progress within the bound.
@@ -331,6 +340,7 @@ impl ProtocolMonitor {
             );
             self.record(cycle, ch, InvariantKind::Liveness, detail);
         }
+        broken || !self.chans[ch].pending.is_empty()
     }
 
     /// Final conservation check after the network drained: every

@@ -14,6 +14,10 @@
 //! 3. all switches run allocation + crossbar traversal,
 //! 4. all consumers receive (input registers capture arrivals and return
 //!    ACK/nACK replies).
+//!
+//! One event-driven kernel runs every configuration: it applies each
+//! phase only to the components that can act this cycle, with the same
+//! result as applying it to all of them (see `docs/kernel.md`).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -29,8 +33,8 @@ use xpipes_sim::telemetry::{
 };
 use xpipes_sim::trace::{SignalId, VcdWriter};
 use xpipes_sim::{
-    ActiveSet, Cycle, EventWheel, FallbackReason, FaultPlan, KernelHealth, KernelPhase,
-    KernelProfile, RunningStats, SimRng, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
+    ActiveSet, Cycle, EventWheel, FaultPlan, KernelHealth, KernelPhase, KernelProfile,
+    RunningStats, SimRng, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use xpipes_topology::spec::NocSpec;
 use xpipes_topology::{NiId, NiKind, SwitchId};
@@ -160,17 +164,32 @@ struct TraceState {
     vcd: VcdWriter,
     valid: Vec<SignalId>,
     packet: Vec<SignalId>,
+    /// The next step records every channel, not only the walked ones:
+    /// set when the trace is armed or the network restored, because the
+    /// writer emits each signal's first value.
+    sweep_all: bool,
+}
+
+impl TraceState {
+    /// Records channel `i`'s flit-valid line and packet-id byte for
+    /// cycle `now` (the writer suppresses unchanged values).
+    fn record(&mut self, now: Cycle, i: usize, arrival: Option<&LinkFlit>) {
+        let (valid, pkt) = match arrival {
+            Some(lf) => (1, lf.flit.meta.packet_id & 0xFF),
+            None => (0, 0),
+        };
+        self.vcd.change(now, self.valid[i], valid);
+        self.vcd.change(now, self.packet[i], pkt);
+    }
 }
 
 /// Telemetry configuration for [`Noc::enable_telemetry`].
 ///
-/// Unlike tracing and the protocol monitor, telemetry does **not**
-/// disable the activity fast path: metrics are epoch-aggregated (the
-/// engine scans component counters once every `sample_interval` cycles)
-/// and the flight recorder only sees events from channels the engine
-/// actually touched — a skipped channel is provably inert and produces
-/// none. No RNG stream is read, so simulated behaviour is bit-identical
-/// with telemetry on or off.
+/// Metrics are epoch-aggregated (the engine scans component counters
+/// once every `sample_interval` cycles) and the flight recorder only
+/// sees events from channels the engine actually touched — a skipped
+/// channel is provably inert and produces none. No RNG stream is read,
+/// so simulated behaviour is bit-identical with telemetry on or off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Cycles between registry samples (and timeline windows).
@@ -258,9 +277,9 @@ struct TelemetryState {
 /// the O(network) per-cycle rescan the old fast path paid.
 struct Scheduler {
     /// The sets/wheel/blockers are coherent with current state.
-    /// Invalidated by out-of-band mutation (slow-path steps, restore,
-    /// stall/sabotage hooks); rebuilt by a full scan on the next
-    /// fast-path step.
+    /// Invalidated by out-of-band mutation (reference steps, restore,
+    /// monitor arming, stall/sabotage hooks); rebuilt by a full scan on
+    /// the next step.
     valid: bool,
     /// Channels to process in the next step's phases 1/2/4.
     chan_sched: ActiveSet,
@@ -273,6 +292,11 @@ struct Scheduler {
     /// target with a non-empty queue, at its head's ready cycle.
     /// Head-of-line draining makes the head's ready cycle exact.
     tgt_wake: EventWheel<usize>,
+    /// Channels the protocol monitor checks next step even if nothing
+    /// on them moves: it holds undelivered flits there (liveness is a
+    /// function of the clock) or their conservation is broken (which
+    /// re-records every cycle). Every channel after a rebuild.
+    mon_watch: ActiveSet,
     /// Count of idle blockers; zero ⇔ the network is idle.
     idle_blockers: usize,
     /// Cached per-component blocker bits (the component's current
@@ -306,6 +330,7 @@ impl Scheduler {
             sw_sched: ActiveSet::new(switches),
             ini_pending: ActiveSet::new(initiators),
             tgt_wake: EventWheel::new(),
+            mon_watch: ActiveSet::new(channels),
             idle_blockers: 0,
             blocking_chan: vec![false; channels],
             blocking_sw: vec![false; switches],
@@ -353,9 +378,9 @@ fn note_blocker(count: &mut usize, slot: &mut bool, blocking: bool) {
 }
 
 /// Step phase 2 for one channel: the producer consumes the reverse
-/// arrival and drives the forward latch. Shared verbatim between the
-/// reference and event kernels so observer hooks (monitor, attribution,
-/// flight recorder) fire identically on both.
+/// arrival and drives the forward latch, firing the observer hooks
+/// (monitor, attribution, flight recorder). Shared verbatim with the
+/// reference oracle.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn phase2_transmit(
@@ -405,8 +430,8 @@ fn phase2_transmit(
 }
 
 /// Step phase 4 for one channel: the consumer sinks the forward arrival
-/// and drives the reverse latch. Shared verbatim between the reference
-/// and event kernels.
+/// and drives the reverse latch. Shared verbatim with the reference
+/// oracle.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn phase4_receive(
@@ -496,8 +521,7 @@ pub struct Noc {
     name: String,
     trace: Option<TraceState>,
     /// Epoch-sampled metrics / timeline / flight recorder. Boxed so the
-    /// sampling take-put dance moves one pointer, and deliberately NOT
-    /// part of [`fast_path`](Self::fast_path)'s gate.
+    /// sampling take-put dance moves one pointer.
     telemetry: Option<Box<TelemetryState>>,
     faults: FaultPlan,
     /// Dedicated RNG stream for network-level fault injection (output
@@ -505,13 +529,13 @@ pub struct Noc {
     /// fault model never perturbs another.
     fault_rng: SimRng,
     /// Hoisted from the plan at assembly: fault-free runs never enter the
-    /// per-cycle stall loop, so they never touch `fault_rng`.
+    /// per-cycle stall loop, so they never touch `fault_rng`. While set,
+    /// the clock never jumps: every cycle draws.
     stall_faults: bool,
     monitor: Option<ProtocolMonitor>,
-    /// Per-packet latency attribution ledger. Boxed like telemetry, and
-    /// like it deliberately NOT part of [`fast_path`](Self::fast_path)'s
-    /// gate: skipped channels transmit and accept nothing, so skipping
-    /// them loses no attribution event.
+    /// Per-packet latency attribution ledger. Boxed like telemetry;
+    /// skipped channels transmit and accept nothing, so skipping them
+    /// loses no attribution event.
     attribution: Option<Box<AttributionEngine>>,
     /// Channel produced by each initiator NI (dense index), so `submit`
     /// can update the schedule incrementally instead of forcing a full
@@ -750,7 +774,12 @@ impl Noc {
             valid.push(vcd.declare(format!("ch{i}_valid"), 1));
             packet.push(vcd.declare(format!("ch{i}_pkt"), 8));
         }
-        self.trace = Some(TraceState { vcd, valid, packet });
+        self.trace = Some(TraceState {
+            vcd,
+            valid,
+            packet,
+            sweep_all: true,
+        });
     }
 
     /// The captured VCD document, if tracing is enabled and buffered
@@ -995,6 +1024,8 @@ impl Noc {
             monitor.add_channel(label);
         }
         self.monitor = Some(monitor);
+        // The rebuild puts every channel on the monitor's watch list.
+        self.sched.valid = false;
     }
 
     /// Violations recorded so far (empty when no monitor is attached).
@@ -1018,8 +1049,8 @@ impl Noc {
     /// exemplars. Enable before injecting traffic — packets already in
     /// flight cannot be attributed.
     ///
-    /// Attribution composes with the activity fast path and never changes
-    /// simulated behaviour, RNG streams, or traces.
+    /// Attribution never changes simulated behaviour, RNG streams, or
+    /// traces.
     pub fn enable_attribution(&mut self) {
         let mut ni_labels = BTreeMap::new();
         for ni in &self.initiators {
@@ -1110,8 +1141,8 @@ impl Noc {
     /// sampled every [`TelemetryConfig::sample_interval`] cycles, plus
     /// the optional congestion timeline and flight recorder.
     ///
-    /// Telemetry composes with the activity fast path (see
-    /// [`TelemetryConfig`]); it never changes simulated behaviour.
+    /// Telemetry never changes simulated behaviour (see
+    /// [`TelemetryConfig`]).
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
         assert!(
             config.sample_interval > 0,
@@ -1363,9 +1394,8 @@ impl Noc {
         }
     }
 
-    /// The per-run kernel dispatch counters: event vs fallback step mix
-    /// with a fallback-reason histogram, schedule occupancy, wheel
-    /// depth/horizon, and time-jump totals. Always collected (plain
+    /// The per-run kernel counters: event vs reference-oracle step mix,
+    /// schedule occupancy, wheel depth/horizon, and time-jump totals. Always collected (plain
     /// counter bumps) and deterministic; introspection only — never
     /// serialized into checkpoints or folded into byte-compared
     /// artifacts.
@@ -1406,66 +1436,70 @@ impl Noc {
         }
     }
 
-    /// True when the current step can use the activity fast path: no
-    /// observer needs per-channel events (trace, monitor) and no
-    /// network-level fault injection runs between phases. Under these
-    /// conditions every phase is a pure function of per-channel state, so
-    /// provably-inert channels and switches can be skipped without
-    /// changing behaviour or any RNG stream.
-    fn fast_path(&self) -> bool {
-        self.trace.is_none() && self.monitor.is_none() && !self.stall_faults
-    }
-
     /// Rebuilds the event schedule and the cached idle-blocker census
-    /// from a full scan of current state. A channel is left unscheduled
-    /// only when *every* step phase is a no-op for it: latches and
-    /// pending arrivals empty, link pipes empty, and the producer has
-    /// nothing to transmit (an open retransmission window counts as work —
-    /// it must keep ticking the ACK timeout).
+    /// from a full scan of current state: every component is re-derived
+    /// as if a step had touched it (see [`rederive`](Self::rederive)).
+    /// With a monitor armed, every channel joins its watch list, so the
+    /// next step checks them all.
     fn rebuild_schedule(&mut self) {
-        let switches = &self.switches;
-        let initiators = &self.initiators;
-        let targets = &self.targets;
-        let chan = &self.chan;
-        let now = self.now.as_u64();
         let sched = &mut self.sched;
         sched.chan_sched.clear();
         sched.sw_sched.clear();
         sched.ini_pending.clear();
-        sched.tgt_wake.reset(now);
-        let mut blockers = 0usize;
-        for (s, sw) in switches.iter().enumerate() {
-            let (input_act, idle) = sw.activity();
-            if input_act {
-                sched.sw_sched.insert(s);
+        sched.mon_watch.clear();
+        sched.tgt_wake.reset(self.now.as_u64());
+        // The cached blocker bits and their count stay consistent across
+        // invalidation, so re-deriving every component corrects both.
+        let mut all = std::mem::take(&mut sched.chan_scratch);
+        for i in 0..self.chan.len() {
+            all.insert(i);
+            if self.monitor.is_some() {
+                sched.mon_watch.insert(i);
             }
-            sched.blocking_sw[s] = !idle;
-            blockers += usize::from(!idle);
         }
-        for (n, ni) in initiators.iter().enumerate() {
-            let blocking = !ni.is_idle();
-            sched.blocking_ini[n] = blocking;
-            blockers += usize::from(blocking);
+        for s in 0..self.switches.len() {
+            sched.sw_cand.insert(s);
+        }
+        for (n, ni) in self.initiators.iter().enumerate() {
+            sched.ini_touched.insert(n);
             if ni.has_backlog() {
                 sched.ini_pending.insert(n);
             }
         }
-        for (n, ni) in targets.iter().enumerate() {
-            let blocking = !ni.is_idle();
-            sched.blocking_tgt[n] = blocking;
-            blockers += usize::from(blocking);
+        for (n, ni) in self.targets.iter().enumerate() {
+            sched.tgt_touched.insert(n);
             if let Some(at) = ni.next_response_at() {
                 // `schedule` clamps an already-due head to `now`.
                 sched.tgt_wake.schedule(at.as_u64(), n);
             }
         }
-        for i in 0..chan.len() {
+        self.rederive(&all);
+        all.clear();
+        self.sched.chan_scratch = all;
+        self.sched.valid = true;
+    }
+
+    /// Re-derives schedule membership and idle-blocker bits for the
+    /// `walked` channels and the touched switches and NIs. A channel is
+    /// left unscheduled only when *every* step phase is a no-op for it:
+    /// latches and pending arrivals empty, link pipe empty, and nothing
+    /// to transmit (an open retransmission window counts as work — it
+    /// must keep ticking the ACK timeout).
+    fn rederive(&mut self, walked: &ActiveSet) {
+        let chan = &self.chan;
+        let switches = &self.switches;
+        let initiators = &self.initiators;
+        let targets = &self.targets;
+        let sched = &mut self.sched;
+        for i in walked.iter() {
             let blocking = chan.fwd_latch[i].is_some() || chan.fwd_arrival[i].is_some();
-            sched.blocking_chan[i] = blocking;
-            blockers += usize::from(blocking);
-            let active = chan.fwd_latch[i].is_some()
+            note_blocker(
+                &mut sched.idle_blockers,
+                &mut sched.blocking_chan[i],
+                blocking,
+            );
+            let active = blocking
                 || chan.rev_latch[i].is_some()
-                || chan.fwd_arrival[i].is_some()
                 || chan.rev_arrival[i].is_some()
                 || !chan.link[i].is_empty()
                 || match chan.producer[i] {
@@ -1477,79 +1511,71 @@ impl Noc {
                 sched.chan_sched.insert(i);
             }
         }
-        sched.idle_blockers = blockers;
-        sched.valid = true;
+        let mut sw_buf = std::mem::take(&mut sched.sw_buf);
+        sched.sw_cand.drain_into(&mut sw_buf);
+        for &s in &sw_buf {
+            let (input_act, idle) = switches[s].activity();
+            if input_act {
+                sched.sw_sched.insert(s);
+            }
+            note_blocker(&mut sched.idle_blockers, &mut sched.blocking_sw[s], !idle);
+        }
+        sched.sw_buf = sw_buf;
+        let mut ni_buf = std::mem::take(&mut sched.ni_buf);
+        sched.ini_touched.drain_into(&mut ni_buf);
+        for &n in &ni_buf {
+            note_blocker(
+                &mut sched.idle_blockers,
+                &mut sched.blocking_ini[n],
+                !initiators[n].is_idle(),
+            );
+        }
+        sched.tgt_touched.drain_into(&mut ni_buf);
+        for &n in &ni_buf {
+            note_blocker(
+                &mut sched.idle_blockers,
+                &mut sched.blocking_tgt[n],
+                !targets[n].is_idle(),
+            );
+        }
+        sched.ni_buf = ni_buf;
     }
 
     /// Advances the network one clock cycle.
     ///
-    /// Observer-free configurations (no trace, no protocol monitor, no
-    /// stall-fault injection) run the event-driven kernel, which visits
-    /// only scheduled components; everything else runs the reference
-    /// full scan. Both produce bit-identical state, statistics, RNG
-    /// streams, and observer output — pinned by
-    /// `tests/kernel_equivalence.rs`.
+    /// Every configuration — bare, traced, monitored, stall-faulted —
+    /// runs the event-driven kernel, which visits only scheduled
+    /// components. It produces state, statistics, RNG streams, and
+    /// observer output bit-identical to the full-scan reference oracle,
+    /// pinned by `tests/kernel_equivalence.rs`.
     pub fn step(&mut self) {
-        if self.fast_path() {
-            if !self.sched.valid {
-                self.health.note_rebuild();
-                let mark = self.profile.is_some().then(std::time::Instant::now);
-                self.rebuild_schedule();
-                if let (Some(p), Some(t)) = (self.profile.as_deref_mut(), mark) {
-                    p.note(KernelPhase::Scheduling, t.elapsed());
-                }
+        if !self.sched.valid {
+            self.health.note_rebuild();
+            let mark = self.profile.is_some().then(std::time::Instant::now);
+            self.rebuild_schedule();
+            if let (Some(p), Some(t)) = (self.profile.as_deref_mut(), mark) {
+                p.note(KernelPhase::Scheduling, t.elapsed());
             }
-            self.step_event();
-        } else {
-            self.sched.valid = false;
-            self.step_full();
         }
+        self.step_event();
     }
 
-    /// Advances one cycle with the reference kernel (full component
-    /// scan), regardless of the fast-path gate. The differential
-    /// equivalence harness drives this side-by-side with [`step`](Self::step).
+    /// Advances one cycle with the full-scan reference oracle: every
+    /// channel, switch, and NI is processed, and every observer sees
+    /// every channel. The differential equivalence harness drives this
+    /// side-by-side with [`step`](Self::step); production code never
+    /// runs it.
     #[cfg(any(test, feature = "reference-kernel"))]
     pub fn step_reference(&mut self) {
+        // The next `step` rebuilds the schedule this step leaves stale.
         self.sched.valid = false;
-        self.step_full();
-    }
-
-    /// The reference step: every channel, switch, and NI is processed
-    /// every cycle. The only path that supports per-event observers
-    /// (VCD trace, protocol monitor) and stall-fault injection.
-    fn step_full(&mut self) {
+        self.health.note_reference_step();
         // The monitor and attribution engine are moved out for the
         // duration of the step so their `note_*` calls can run between
         // mutable component accesses.
         let mut monitor = self.monitor.take();
         let mut attr = self.attribution.take();
         let cycle = self.now.as_u64();
-        // Health: every armed observer that forced this full scan counts
-        // in the reason histogram; a direct `step_reference` call with no
-        // observer armed is a schedule-invalidated step by definition.
-        {
-            let mut reasons = [FallbackReason::ScheduleInvalidated; 3];
-            let mut n = 0;
-            if self.trace.is_some() {
-                reasons[n] = FallbackReason::TraceArmed;
-                n += 1;
-            }
-            if monitor.is_some() {
-                reasons[n] = FallbackReason::MonitorArmed;
-                n += 1;
-            }
-            if self.stall_faults {
-                reasons[n] = FallbackReason::StallFaultsActive;
-                n += 1;
-            }
-            let n = n.max(1);
-            self.health.note_fallback_step(&reasons[..n]);
-        }
-        let mut prof = self.profile.take();
-        let mut mark = prof.as_ref().map(|_| std::time::Instant::now());
-        // Violation count going in: if it grows this cycle, the flight
-        // recorder freezes its ring at the end of the step.
         let viol_before = monitor.as_ref().map_or(0, |m| m.violations().len());
 
         // Phase 1: links shift.
@@ -1559,59 +1585,33 @@ impl Noc {
             self.chan.fwd_arrival[i] = fwd;
             self.chan.rev_arrival[i] = rev;
         }
-        prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
         if let Some(trace) = &mut self.trace {
             for (i, arrival) in self.chan.fwd_arrival.iter().enumerate() {
-                let (valid, pkt) = match arrival {
-                    Some(lf) => (1, lf.flit.meta.packet_id & 0xFF),
-                    None => (0, 0),
-                };
-                trace.vcd.change(self.now, trace.valid[i], valid);
-                trace.vcd.change(self.now, trace.packet[i], pkt);
+                trace.record(self.now, i, arrival.as_ref());
             }
         }
-        prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
-        // Fault injection: transient backpressure at switch outputs. The
-        // guard keeps fault-free runs off `fault_rng` entirely, so their
-        // RNG streams are bit-identical whether or not a plan is armed.
         if self.stall_faults {
-            for s in 0..self.switches.len() {
-                for p in 0..self.switches[s].config().outputs {
-                    if self.fault_rng.chance(self.faults.stall_rate) {
-                        self.switches[s].stall_output(p, self.faults.stall_len as u64);
-                    }
-                }
-            }
-            prof_mark(&mut prof, &mut mark, KernelPhase::SwitchPass);
+            self.draw_stalls(None);
         }
         // Phase 2: producers transmit (consume reverse arrivals).
-        {
-            let chan = &mut self.chan;
-            let switches = &mut self.switches;
-            let initiators = &mut self.initiators;
-            let targets = &mut self.targets;
-            let mut flight = self.telemetry.as_mut().and_then(|t| t.flight.as_mut());
-            for i in 0..chan.len() {
-                phase2_transmit(
-                    i,
-                    chan,
-                    switches,
-                    initiators,
-                    targets,
-                    monitor.as_mut(),
-                    attr.as_deref_mut(),
-                    flight.as_deref_mut(),
-                    cycle,
-                );
-            }
+        let mut flight = self.telemetry.as_mut().and_then(|t| t.flight.as_mut());
+        for i in 0..self.chan.len() {
+            phase2_transmit(
+                i,
+                &mut self.chan,
+                &mut self.switches,
+                &mut self.initiators,
+                &mut self.targets,
+                monitor.as_mut(),
+                attr.as_deref_mut(),
+                flight.as_deref_mut(),
+                cycle,
+            );
         }
-        prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
-        // Phase 3: switch allocation + crossbar.
+        // Phase 3: switch allocation + crossbar, then the tail grants.
         for sw in &mut self.switches {
             sw.crossbar();
         }
-        // Attribution: drain the crossbar tail grants collected in
-        // phase 3.
         if let Some(a) = attr.as_deref_mut() {
             for (s, sw) in self.switches.iter_mut().enumerate() {
                 for &(port, pkt) in sw.granted_tails() {
@@ -1620,50 +1620,28 @@ impl Noc {
                 sw.clear_granted_tails();
             }
         }
-        prof_mark(&mut prof, &mut mark, KernelPhase::SwitchPass);
         // Phase 4: consumers receive (produce reverse replies).
-        {
-            let chan = &mut self.chan;
-            let switches = &mut self.switches;
-            let initiators = &mut self.initiators;
-            let targets = &mut self.targets;
-            let now = self.now;
-            let mut flight = self.telemetry.as_mut().and_then(|t| t.flight.as_mut());
-            for i in 0..chan.len() {
-                phase4_receive(
-                    i,
-                    chan,
-                    switches,
-                    initiators,
-                    targets,
-                    monitor.as_mut(),
-                    attr.as_deref_mut(),
-                    flight.as_deref_mut(),
-                    cycle,
-                    now,
-                );
-            }
+        for i in 0..self.chan.len() {
+            phase4_receive(
+                i,
+                &mut self.chan,
+                &mut self.switches,
+                &mut self.initiators,
+                &mut self.targets,
+                monitor.as_mut(),
+                attr.as_deref_mut(),
+                flight.as_deref_mut(),
+                cycle,
+                self.now,
+            );
         }
-        prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
         // Monitor: once-per-cycle endpoint invariants on every channel.
         if let Some(m) = monitor.as_mut() {
             for i in 0..self.chan.len() {
-                let tx = self.producer_tx(self.chan.producer[i]);
-                let rx = self.consumer_rx(self.chan.consumer[i]);
-                m.check_endpoints(i, tx, rx, cycle);
+                self.check_channel(m, i, cycle);
             }
+            self.freeze_on_violation(m, viol_before, cycle);
         }
-        // Flight recorder: the first tripped invariant freezes the ring,
-        // preserving the last-K events around the violation however long
-        // the run continues.
-        if let Some(m) = &monitor {
-            if m.violations().len() > viol_before {
-                if let Some(fr) = self.telemetry.as_mut().and_then(|t| t.flight.as_mut()) {
-                    fr.freeze(cycle);
-                }
-            }
-        }
-        prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
         // NI housekeeping.
         for ni in &mut self.initiators {
             ni.tick(self.now);
@@ -1671,44 +1649,74 @@ impl Noc {
         for ni in &mut self.targets {
             ni.tick(self.now);
         }
-        prof_mark(&mut prof, &mut mark, KernelPhase::WheelService);
         self.monitor = monitor;
         self.attribution = attr;
-        // Telemetry epoch boundary: scan component counters into the
-        // registry (and close a timeline window) once per interval. This
-        // is the whole per-cycle cost of the metric layer.
+        self.sample_telemetry_at_epoch(cycle);
+        self.now = self.now.next();
+    }
+
+    /// Stall-fault draws, in (switch, port) order on `fault_rng`; each
+    /// stalled port's channel joins `walk` when one is given.
+    fn draw_stalls(&mut self, mut walk: Option<&mut ActiveSet>) {
+        for s in 0..self.switches.len() {
+            for p in 0..self.switches[s].config().outputs {
+                if self.fault_rng.chance(self.faults.stall_rate) {
+                    self.switches[s].stall_output(p, self.faults.stall_len as u64);
+                    let c = self.sw_out_chan[s][p];
+                    if let Some(walk) = walk.as_deref_mut().filter(|_| c != usize::MAX) {
+                        walk.insert(c);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs the monitor's endpoint checks on channel `i`; returns whether
+    /// the channel stays on the watch list (see
+    /// [`ProtocolMonitor::check_endpoints`]).
+    fn check_channel(&self, m: &mut ProtocolMonitor, i: usize, cycle: u64) -> bool {
+        let tx = self.producer_tx(self.chan.producer[i]);
+        let rx = self.consumer_rx(self.chan.consumer[i]);
+        m.check_endpoints(i, tx, rx, cycle)
+    }
+
+    /// Telemetry epoch boundary: scan component counters into the
+    /// registry (and close a timeline window) once per interval. This is
+    /// the whole per-cycle cost of the metric layer.
+    fn sample_telemetry_at_epoch(&mut self, cycle: u64) {
         if let Some(t) = &self.telemetry {
             if (cycle + 1).is_multiple_of(t.config.sample_interval) {
                 self.sample_telemetry(cycle);
             }
         }
-        prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
-        // A reference step invalidates the event schedule; when the
-        // fast-path gate would allow event stepping, rebuild it here so
-        // `is_idle` stays O(1) between reference steps.
-        if self.fast_path() {
-            self.rebuild_schedule();
-        } else {
-            self.sched.valid = false;
+    }
+
+    /// Flight recorder: a violation recorded this step freezes the ring,
+    /// preserving the last-K events around the first tripped invariant
+    /// however long the run continues.
+    fn freeze_on_violation(&mut self, m: &ProtocolMonitor, viol_before: usize, cycle: u64) {
+        let flight = self.telemetry.as_mut().and_then(|t| t.flight.as_mut());
+        if let Some(fr) = flight.filter(|_| m.violations().len() > viol_before) {
+            fr.freeze(cycle);
         }
-        prof_mark(&mut prof, &mut mark, KernelPhase::Scheduling);
-        self.profile = prof;
-        self.now = self.now.next();
     }
 
     /// The event-driven step: walks only scheduled channels/switches and
     /// due NI wakes, maintaining the schedule incrementally. Requires a
-    /// valid schedule and an observer-free configuration (the dispatch
-    /// in [`step`](Self::step) guarantees both).
+    /// valid schedule ([`step`](Self::step) guarantees it). Walking an
+    /// unscheduled channel is a no-op, so any superset of the schedule
+    /// may be walked; `docs/kernel.md` shows why observers and stall
+    /// faults see exactly what the reference oracle shows them.
     fn step_event(&mut self) {
-        debug_assert!(self.sched.valid && self.fast_path());
+        debug_assert!(self.sched.valid);
+        let mut monitor = self.monitor.take();
         let mut attr = self.attribution.take();
         let cycle = self.now.as_u64();
 
         // Swap this cycle's schedules out against empty scratch sets:
         // next-cycle membership accumulates in `chan_sched`/`sw_sched`
         // while this cycle's membership is walked.
-        let chan_cur = std::mem::replace(
+        let mut chan_cur = std::mem::replace(
             &mut self.sched.chan_sched,
             std::mem::take(&mut self.sched.chan_scratch),
         );
@@ -1724,6 +1732,18 @@ impl Noc {
         );
         let mut prof = self.profile.take();
         let mut mark = prof.as_ref().map(|_| std::time::Instant::now());
+        let viol_before = monitor.as_ref().map_or(0, |m| m.violations().len());
+        // A trace's first step walks every channel: the writer records
+        // each signal's first value.
+        if self
+            .trace
+            .as_mut()
+            .is_some_and(|t| std::mem::take(&mut t.sweep_all))
+        {
+            for i in 0..self.chan.len() {
+                chan_cur.insert(i);
+            }
+        }
 
         // Phase 1: links shift. Unscheduled channels hold no latches and
         // an empty pipe — their shift is a no-op and draws no RNG.
@@ -1737,6 +1757,20 @@ impl Noc {
             }
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
+        // VCD: an unwalked channel has no arrival and last recorded
+        // zeros, so only walked channels can change value.
+        if let Some(trace) = &mut self.trace {
+            for i in chan_cur.iter() {
+                trace.record(self.now, i, self.chan.fwd_arrival[i].as_ref());
+            }
+            prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
+        }
+        // Stall faults: a stalled port's channel joins this cycle's walk
+        // so its transmit counts the stall down.
+        if self.stall_faults {
+            self.draw_stalls(Some(&mut chan_cur));
+            prof_mark(&mut prof, &mut mark, KernelPhase::SwitchPass);
+        }
         // Phase 2: producers transmit (consume reverse arrivals). Every
         // endpoint a phase touches lands in a touched set so its blocker
         // bit and activity are re-derived after the ticks.
@@ -1765,7 +1799,7 @@ impl Noc {
                     switches,
                     initiators,
                     targets,
-                    None,
+                    monitor.as_mut(),
                     attr.as_deref_mut(),
                     flight.as_deref_mut(),
                     cycle,
@@ -1837,7 +1871,7 @@ impl Noc {
                     switches,
                     initiators,
                     targets,
-                    None,
+                    monitor.as_mut(),
                     attr.as_deref_mut(),
                     flight.as_deref_mut(),
                     cycle,
@@ -1853,6 +1887,20 @@ impl Noc {
             }
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
+        // Monitor: a check can only record on a walked or a watched
+        // channel; the watched ones join the walk, so the union is
+        // checked in ascending order, the reference's order.
+        if let Some(m) = monitor.as_mut() {
+            for i in self.sched.mon_watch.iter() {
+                chan_cur.insert(i);
+            }
+            for i in chan_cur.iter() {
+                let watch = self.check_channel(m, i, cycle);
+                self.sched.mon_watch.set(i, watch);
+            }
+            self.freeze_on_violation(m, viol_before, cycle);
+            prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
+        }
         // NI housekeeping: only initiators with a submit backlog and
         // targets with a due response can make progress; every other
         // tick is a provable no-op.
@@ -1892,76 +1940,14 @@ impl Noc {
         // Re-derive activity and blocker bits for everything this step
         // touched. Unscheduled components were provably untouched, so
         // their cached bits still hold.
-        {
-            let chan = &self.chan;
-            let switches = &self.switches;
-            let initiators = &self.initiators;
-            let targets = &self.targets;
-            let sched = &mut self.sched;
-            for i in chan_cur.iter() {
-                let blocking = chan.fwd_latch[i].is_some() || chan.fwd_arrival[i].is_some();
-                note_blocker(
-                    &mut sched.idle_blockers,
-                    &mut sched.blocking_chan[i],
-                    blocking,
-                );
-                let active = chan.fwd_latch[i].is_some()
-                    || chan.rev_latch[i].is_some()
-                    || chan.fwd_arrival[i].is_some()
-                    || chan.rev_arrival[i].is_some()
-                    || !chan.link[i].is_empty()
-                    || match chan.producer[i] {
-                        Endpoint::SwitchPort { switch, port } => {
-                            switches[switch].output_pending(port)
-                        }
-                        Endpoint::Initiator(idx) => initiators[idx].link_busy(),
-                        Endpoint::Target(idx) => targets[idx].link_busy(),
-                    };
-                if active {
-                    sched.chan_sched.insert(i);
-                }
-            }
-            let mut sw_buf = std::mem::take(&mut sched.sw_buf);
-            sched.sw_cand.drain_into(&mut sw_buf);
-            for &s in &sw_buf {
-                let (input_act, idle) = switches[s].activity();
-                if input_act {
-                    sched.sw_sched.insert(s);
-                }
-                note_blocker(&mut sched.idle_blockers, &mut sched.blocking_sw[s], !idle);
-            }
-            sched.sw_buf = sw_buf;
-            let mut ni_buf = std::mem::take(&mut sched.ni_buf);
-            sched.ini_touched.drain_into(&mut ni_buf);
-            for &n in &ni_buf {
-                note_blocker(
-                    &mut sched.idle_blockers,
-                    &mut sched.blocking_ini[n],
-                    !initiators[n].is_idle(),
-                );
-            }
-            sched.tgt_touched.drain_into(&mut ni_buf);
-            for &n in &ni_buf {
-                note_blocker(
-                    &mut sched.idle_blockers,
-                    &mut sched.blocking_tgt[n],
-                    !targets[n].is_idle(),
-                );
-            }
-            sched.ni_buf = ni_buf;
-        }
+        self.rederive(&chan_cur);
         prof_mark(&mut prof, &mut mark, KernelPhase::Scheduling);
+        self.monitor = monitor;
         self.attribution = attr;
-        // Telemetry epoch boundary: same cadence as the reference step.
-        if let Some(t) = &self.telemetry {
-            if (cycle + 1).is_multiple_of(t.config.sample_interval) {
-                self.sample_telemetry(cycle);
-            }
-        }
+        self.sample_telemetry_at_epoch(cycle);
         prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
         self.profile = prof;
         // Return the walked (now cleared) sets to the scratch slots.
-        let mut chan_cur = chan_cur;
         let mut sw_cur = sw_cur;
         chan_cur.clear();
         sw_cur.clear();
@@ -1973,16 +1959,22 @@ impl Noc {
     /// Cycles that can be skipped outright, bounded by `limit`: when the
     /// schedule is valid and empty (no channel, switch, or initiator has
     /// work), nothing mutates until the next target wake — stepping
-    /// through the gap would be pure no-ops. Only the observers behind
-    /// the fast-path gate disable jumping; armed telemetry jumps too,
-    /// with [`jump_idle_gap`](Self::jump_idle_gap) synthesizing its
-    /// epoch samples across the gap.
+    /// through the gap would be pure no-ops. The clock never jumps while
+    /// stall faults draw every cycle, while the monitor watches a channel
+    /// (liveness counts cycles), or before a trace's first-step sweep;
+    /// armed telemetry jumps, with [`jump_idle_gap`](Self::jump_idle_gap)
+    /// synthesizing its epoch samples across the gap.
     fn idle_gap(&self, limit: u64) -> Option<u64> {
-        if limit == 0 || !self.sched.valid || !self.fast_path() {
+        if limit == 0 || !self.sched.valid || self.stall_faults {
             return None;
         }
         let s = &self.sched;
-        if !s.chan_sched.is_empty() || !s.sw_sched.is_empty() || !s.ini_pending.is_empty() {
+        if !s.chan_sched.is_empty()
+            || !s.sw_sched.is_empty()
+            || !s.ini_pending.is_empty()
+            || !s.mon_watch.is_empty()
+            || self.trace.as_ref().is_some_and(|t| t.sweep_all)
+        {
             return None;
         }
         let gap = match s.tgt_wake.next_event_cycle() {
@@ -2307,13 +2299,16 @@ impl Noc {
             self.chan.rev_arrival[i] = snap::load_opt_acknack(&mut r)?;
         }
         load_section(&mut r, self.trace.as_mut().map(|t| &mut t.vcd))?;
+        if let Some(t) = &mut self.trace {
+            t.sweep_all = true;
+        }
         load_section(&mut r, self.monitor.as_mut())?;
         load_section(&mut r, self.telemetry.as_deref_mut())?;
         load_section(&mut r, self.attribution.as_deref_mut())?;
         r.finish()?;
         self.now = Cycle::new(now);
         // The event schedule is a cache over the state just replaced;
-        // the next fast-path step rebuilds it (including the wheel).
+        // the next step rebuilds it (including the wheel).
         self.sched.valid = false;
         Ok(())
     }

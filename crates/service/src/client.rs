@@ -9,7 +9,11 @@ use crate::proto::{self, ProtoError};
 use crate::spec::CampaignSpec;
 
 fn connect(addr: &str) -> Result<TcpStream, String> {
-    TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))
+    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("cannot configure connection to {addr}: {e}"))?;
+    Ok(stream)
 }
 
 /// Unwraps a reply: `error` messages become `Err` with the server's

@@ -91,13 +91,15 @@ pub fn write_blob(w: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
     write_frame(w, KIND_BLOB, bytes)
 }
 
+/// Writes header and payload with one `write_all`: on a `TCP_NODELAY`
+/// socket, a frame split across two writes leaves as two segments.
 fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME, "oversized frame written");
-    let mut head = [0u8; 5];
-    head[0] = kind;
-    head[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&head)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(5 + payload.len());
+    frame.push(kind);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -206,6 +208,45 @@ mod tests {
         let bye = read_json(&mut r).unwrap();
         assert_eq!(msg_type(&bye), "bye");
         assert!(matches!(read_frame(&mut r), Err(ProtoError::Closed)));
+    }
+
+    /// A writer that counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_with_unchanged_bytes() {
+        let hello = msg("hello").field("id", Json::UInt(7)).build();
+        let mut w = CountingWriter::default();
+        write_json(&mut w, &hello).unwrap();
+        assert_eq!(w.writes, 1);
+        let payload = hello.render_compact();
+        let mut expected = vec![KIND_JSON];
+        expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        expected.extend_from_slice(payload.as_bytes());
+        assert_eq!(w.bytes, expected);
+
+        let mut w = CountingWriter::default();
+        write_blob(&mut w, b"XPSN-ish payload").unwrap();
+        assert_eq!(w.writes, 1);
+        let mut expected = vec![KIND_BLOB, 16, 0, 0, 0];
+        expected.extend_from_slice(b"XPSN-ish payload");
+        assert_eq!(w.bytes, expected);
     }
 
     #[test]

@@ -37,8 +37,17 @@
 //! interleave their grids instead of running strictly in submission
 //! order. Paused campaigns are skipped (their in-flight points still
 //! complete); canceled campaigns drop their queue.
+//!
+//! # Memory
+//!
+//! A campaign that reaches a terminal phase (done, canceled, failed)
+//! frees its bulk state — the warm checkpoint blob and the
+//! completed-point payloads — and keeps only what `status`, `watch` and
+//! `report` read: the completed index set, the progress log, the
+//! verdict and the report bytes. Resident memory therefore does not
+//! grow with the number of campaigns served.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -116,13 +125,18 @@ struct Campaign {
     grid: u64,
     cfg: CampaignConfig,
     dir: PathBuf,
-    /// Shared warm checkpoint blob shipped with every assignment.
+    /// Shared warm checkpoint blob shipped with every assignment;
+    /// freed at the terminal phase.
     warm: Option<Arc<Vec<u8>>>,
     pending: VecDeque<u64>,
     /// point -> connection currently computing it.
     in_flight: HashMap<u64, u64>,
     attempts: HashMap<u64, u32>,
-    completed: BTreeMap<u64, CompletedPoint>,
+    /// Indices of completed grid points (outlive the payloads).
+    completed: BTreeSet<u64>,
+    /// Completed-point payloads awaiting the merged report; freed at
+    /// the terminal phase.
+    points: BTreeMap<u64, CompletedPoint>,
     /// Progress lines in ascending grid order; `watch` streams go
     /// through here, so every watcher sees the same deterministic
     /// NDJSON regardless of completion order.
@@ -134,6 +148,19 @@ struct Campaign {
     /// Exact bytes of the merged report (the byte-identity artifact).
     report: Option<Arc<Vec<u8>>>,
     started: Instant,
+}
+
+impl Campaign {
+    /// Enters terminal `phase` and frees the bulk state nothing reads
+    /// any more: the warm blob, the point payloads, the work queues.
+    fn terminate(&mut self, phase: Phase) {
+        debug_assert!(phase.terminal());
+        self.phase = phase;
+        self.warm = None;
+        self.points = BTreeMap::new();
+        self.pending = VecDeque::new();
+        self.in_flight = HashMap::new();
+    }
 }
 
 struct State {
@@ -248,6 +275,9 @@ fn request_shutdown(shared: &Shared) {
 }
 
 fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream, conn: u64) {
+    // Small request/reply frames: never wait on Nagle. A socket that
+    // refuses the option still works, only slower.
+    let _ = stream.set_nodelay(true);
     let mut registered = false;
     let _ = serve_conn(shared, &mut stream, conn, &mut registered);
     if registered {
@@ -472,18 +502,16 @@ fn reschedule(shared: &Arc<Shared>, campaign: u64, point: u64, reason: &str) {
 
 fn bounce_point(c: &mut Campaign, point: u64, reason: &str, max_attempts: u32) {
     c.in_flight.remove(&point);
-    if c.completed.contains_key(&point) || point >= c.grid {
+    if c.completed.contains(&point) || point >= c.grid {
         return;
     }
     let tries = c.attempts.entry(point).or_insert(0);
     *tries += 1;
     if *tries >= max_attempts {
-        c.phase = Phase::Failed;
         c.error = Some(format!(
             "grid point {point} bounced {tries} times; last: {reason}"
         ));
-        c.pending.clear();
-        c.in_flight.clear();
+        c.terminate(Phase::Failed);
     } else {
         c.pending.push_front(point);
     }
@@ -493,7 +521,7 @@ fn complete_point(shared: &Arc<Shared>, campaign: u64, cp: CompletedPoint) {
     let mut st = shared.state.lock().unwrap();
     if let Some(c) = st.campaigns.iter_mut().find(|c| c.id == campaign) {
         c.in_flight.remove(&cp.index);
-        if !c.phase.terminal() && cp.index < c.grid && !c.completed.contains_key(&cp.index) {
+        if !c.phase.terminal() && cp.index < c.grid && !c.completed.contains(&cp.index) {
             // Journal first: a server crash after this write resumes
             // with the point already done.
             let _ = std::fs::write(point_path(&c.dir, cp.index), cp.to_bytes());
@@ -512,8 +540,9 @@ fn complete_point(shared: &Arc<Shared>, campaign: u64, cp: CompletedPoint) {
 /// ascending, deterministic NDJSON the one-shot `--progress` stream
 /// produces, regardless of shard completion order.
 fn record_point(c: &mut Campaign, cp: CompletedPoint) {
-    c.completed.insert(cp.index, cp);
-    while let Some(p) = c.completed.get(&c.next_emit) {
+    c.completed.insert(cp.index);
+    c.points.insert(cp.index, cp);
+    while let Some(p) = c.points.get(&c.next_emit) {
         c.log.push(progress_line(&c.spec.faults, &c.cfg, p));
         c.next_emit += 1;
     }
@@ -523,7 +552,7 @@ fn record_point(c: &mut Campaign, cp: CompletedPoint) {
 /// record (exactly once per journal, marker-guarded), and marks the
 /// campaign done.
 fn finalize(cfg: &ServerConfig, c: &mut Campaign) {
-    let points: Vec<CompletedPoint> = c.completed.values().cloned().collect();
+    let points: Vec<CompletedPoint> = std::mem::take(&mut c.points).into_values().collect();
     let report = assemble_report(&campaign_spec(), &c.spec.faults, &c.cfg, points);
     let bytes = report.to_json().into_bytes();
     if let Err(e) = std::fs::write(c.dir.join("report.json"), &bytes) {
@@ -555,7 +584,7 @@ fn finalize(cfg: &ServerConfig, c: &mut Campaign) {
     }
     c.pass = report.pass;
     c.report = Some(Arc::new(bytes));
-    c.phase = Phase::Done;
+    c.terminate(Phase::Done);
 }
 
 fn point_path(dir: &Path, index: u64) -> PathBuf {
@@ -710,7 +739,8 @@ fn handle_submit(shared: &Arc<Shared>, msg: &Json) -> Result<Json, String> {
         pending: (0..grid).filter(|i| !completed.contains_key(i)).collect(),
         in_flight: HashMap::new(),
         attempts: HashMap::new(),
-        completed: BTreeMap::new(),
+        completed: BTreeSet::new(),
+        points: BTreeMap::new(),
         log: Vec::new(),
         next_emit: 0,
         phase: Phase::Running,
@@ -808,9 +838,7 @@ fn transition(shared: &Arc<Shared>, id: u64, verb: &str) -> Result<&'static str,
             "running"
         }
         ("cancel", Phase::Running | Phase::Paused) => {
-            c.phase = Phase::Canceled;
-            c.pending.clear();
-            c.in_flight.clear();
+            c.terminate(Phase::Canceled);
             "canceled"
         }
         (_, phase) => {
@@ -876,5 +904,65 @@ fn watch(shared: &Arc<Shared>, stream: &mut TcpStream, id: u64) -> Result<(), Pr
             proto::write_json(stream, &done).map_err(ProtoError::Io)?;
             return Ok(());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{client, worker};
+    use xpipes_traffic::faultcampaign::run_campaign_warm;
+
+    /// A finished campaign frees its warm blob and point payloads, yet
+    /// `status` still counts every completed point and the report
+    /// fetched afterwards is byte-identical to the one-shot run.
+    #[test]
+    fn finished_campaign_frees_bulk_state_but_keeps_status_and_report() {
+        let dir = std::env::temp_dir().join("xpipes_service_unit_free");
+        let _ = std::fs::remove_dir_all(&dir);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let server = Server::start(listener, ServerConfig::new(dir.join("state"))).expect("starts");
+        let addr = server.addr().to_string();
+        let worker = {
+            let addr = addr.clone();
+            std::thread::spawn(move || worker::run_worker(&addr))
+        };
+        let spec_json = Json::parse(
+            r#"{"name":"free","faults":["flit-corruption","ack-loss"],"cycles":400,
+                "seed":5,"rates":[0.02],"warm_start":200}"#,
+        )
+        .expect("valid spec");
+        let reply = client::submit(&addr, &spec_json).expect("submit accepted");
+        let id = reply.get("id").and_then(Json::as_u64).expect("id");
+        let done = client::watch(&addr, id, &mut |_| {}).expect("watch");
+        assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
+        {
+            let st = server.shared.state.lock().unwrap();
+            let c = st.campaigns.iter().find(|c| c.id == id).expect("kept");
+            assert!(c.warm.is_none(), "warm blob outlived the campaign");
+            assert!(c.points.is_empty(), "point payloads outlived the campaign");
+            assert_eq!(c.completed.len() as u64, c.grid);
+        }
+
+        let status = client::request(&addr, &proto::msg("status").build()).expect("status");
+        let rows = status
+            .get("campaigns")
+            .and_then(Json::as_array)
+            .expect("rows");
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].get("completed").and_then(Json::as_u64), Some(3));
+        assert_eq!(rows[0].get("grid").and_then(Json::as_u64), Some(3));
+
+        let (pass, bytes) = client::fetch_report(&addr, id).expect("report");
+        let spec = CampaignSpec::from_json(&spec_json).expect("valid spec");
+        let cfg = spec.config();
+        let warm = warm_checkpoint(&campaign_spec(), &cfg, spec.warm_start).expect("warm-up");
+        let reference =
+            run_campaign_warm(&campaign_spec(), &spec.faults, &cfg, &warm).expect("one-shot");
+        assert_eq!(pass, reference.pass);
+        assert_eq!(bytes.as_slice(), reference.to_json().as_bytes());
+
+        server.shutdown();
+        worker.join().unwrap().expect("worker exits cleanly");
     }
 }

@@ -106,6 +106,10 @@ pub fn decode_work(msg: &Json, stream: &mut TcpStream) -> Result<Assignment, Str
 pub fn run_worker(addr: &str) -> Result<(), String> {
     let mut stream =
         TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    // Request/reply traffic of small frames: never wait on Nagle.
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("cannot configure connection to {addr}: {e}"))?;
     proto::write_json(&mut stream, &proto::msg("worker").build()).map_err(|e| e.to_string())?;
     let hello = proto::read_json(&mut stream).map_err(|e| e.to_string())?;
     if proto::msg_type(&hello) != "ok" {

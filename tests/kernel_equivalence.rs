@@ -1,8 +1,8 @@
 //! Differential equivalence suite: event-wheel kernel vs reference kernel.
 //!
-//! `Noc::step` dispatches to an event-driven kernel that only visits
-//! channels, switches and NIs with scheduled work, and `Noc::run` jumps
-//! time across provably idle gaps. This suite pins the contract that
+//! `Noc::step` runs an event-driven kernel that only visits channels,
+//! switches and NIs with scheduled work — under every observer set and
+//! fault plan — and `Noc::run` jumps time across provably idle gaps. This suite pins the contract that
 //! makes the optimisation safe: over a seeded matrix of mesh sizes,
 //! injection rates, fault plans and observer configurations, a network
 //! driven exclusively by the full-scan reference kernel
@@ -15,8 +15,10 @@
 //! position — so RNG-draw parity and delivered-packet parity are
 //! subsumed by one comparison — plus the explicit work fingerprint,
 //! the VCD waveform hash when tracing is on, and every observer report
-//! when telemetry/attribution/monitoring are on.
+//! (rendered monitor violations, flight-recorder dump, telemetry and
+//! attribution) when those observers are on.
 
+use xpipes::flow_control::FlowSabotage;
 use xpipes::monitor::MonitorConfig;
 use xpipes::noc::{Noc, TelemetryConfig};
 use xpipes_ocp::Request;
@@ -38,6 +40,8 @@ fn fnv64(bytes: &[u8]) -> u64 {
 
 const INJECT_CYCLES: u64 = 900;
 const DRAIN_CYCLES: u64 = 2000;
+/// Cycles run past the drain by the points that keep going while idle.
+const IDLE_TAIL_CYCLES: u64 = 1500;
 
 /// A 2x2 mesh with one initiator and two targets: the smallest network
 /// with a routing decision in it.
@@ -75,14 +79,15 @@ fn spread_8x8() -> NocSpec {
 /// The observer configurations in the matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Observers {
-    /// Bare network: the pure fast path.
+    /// Bare network.
     None,
-    /// Telemetry + attribution + flight recorder: the observers that
-    /// legally ride the fast path and hook the event kernel directly.
+    /// Telemetry + attribution + flight recorder.
     Light,
-    /// VCD tracing + protocol monitor: forces the full-scan fallback,
-    /// pinning the dispatch seam itself.
+    /// VCD tracing + protocol monitor.
     Heavy,
+    /// The fault-campaign observer set: protocol monitor, telemetry with
+    /// flight recorder, and attribution, but no trace.
+    Campaign,
 }
 
 /// Deterministic open-loop driver, independent of the production
@@ -180,13 +185,32 @@ struct Artifacts {
     /// and RNG position in one byte string.
     checkpoint_fnv64: u64,
     vcd_fnv64: Option<u64>,
-    monitor_violations: usize,
+    /// Rendered monitor violations, in detection order.
+    violations: Vec<String>,
+    /// Rendered flight-recorder ring (frozen at the first violation).
+    flight_dump: Vec<String>,
     telemetry_summary: Option<String>,
     attribution_json: Option<String>,
 }
 
-fn build(spec: &NocSpec, plan: &FaultPlan, obs: Observers, seed: u64) -> Noc {
-    let mut noc = Noc::with_faults(spec, seed, plan).expect("assembles");
+/// Set-up hook applied to a freshly assembled network: observers,
+/// sabotage.
+type Setup<'a> = &'a dyn Fn(&mut Noc);
+
+/// Arms the campaign observer set with the given liveness bound.
+fn arm_campaign(noc: &mut Noc, liveness_bound: u64) {
+    noc.enable_monitor(MonitorConfig {
+        liveness_bound,
+        max_violations: 64,
+    });
+    noc.enable_telemetry(TelemetryConfig {
+        flight_recorder_depth: 256,
+        ..TelemetryConfig::default()
+    });
+    noc.enable_attribution();
+}
+
+fn arm(noc: &mut Noc, obs: Observers) {
     match obs {
         Observers::None => {}
         Observers::Light => {
@@ -200,7 +224,13 @@ fn build(spec: &NocSpec, plan: &FaultPlan, obs: Observers, seed: u64) -> Noc {
                 max_violations: 64,
             });
         }
+        Observers::Campaign => arm_campaign(noc, 2500),
     }
+}
+
+fn build(spec: &NocSpec, plan: &FaultPlan, obs: Observers, seed: u64) -> Noc {
+    let mut noc = Noc::with_faults(spec, seed, plan).expect("assembles");
+    arm(&mut noc, obs);
     noc
 }
 
@@ -214,7 +244,23 @@ fn drive(
     seed: u64,
     step: fn(&mut Noc),
 ) -> Artifacts {
-    let mut noc = build(spec, plan, obs, seed);
+    drive_armed(spec, rate, plan, seed, &|noc| arm(noc, obs), step, None)
+}
+
+/// [`drive`] with an arbitrary set-up hook (observers, sabotage) applied
+/// to the freshly assembled network and, optionally, a runner that
+/// keeps the clock going for [`IDLE_TAIL_CYCLES`] after the drain.
+fn drive_armed(
+    spec: &NocSpec,
+    rate: f64,
+    plan: &FaultPlan,
+    seed: u64,
+    setup: Setup<'_>,
+    step: fn(&mut Noc),
+    idle_tail: Option<fn(&mut Noc, u64)>,
+) -> Artifacts {
+    let mut noc = Noc::with_faults(spec, seed, plan).expect("assembles");
+    setup(&mut noc);
     let mut driver = Driver::new(spec, rate, seed ^ 0x5EED);
     let mut drained = 0;
     for cycle in 0..INJECT_CYCLES {
@@ -230,6 +276,9 @@ fn drive(
         }
         step(&mut noc);
     }
+    if let Some(run) = idle_tail {
+        run(&mut noc, IDLE_TAIL_CYCLES);
+    }
     drained += driver.drain(&mut noc);
     noc.finish_monitor();
     noc.flush_telemetry();
@@ -242,9 +291,15 @@ fn drive(
         responses_drained: drained,
         checkpoint_fnv64: fnv64(&noc.checkpoint()),
         vcd_fnv64: noc.vcd().map(|v| fnv64(v.as_bytes())),
-        monitor_violations: noc.monitor_violations().len(),
-        telemetry_summary: (obs == Observers::Light)
-            .then(|| format!("{:?}", noc.telemetry_summary())),
+        violations: noc
+            .monitor_violations()
+            .iter()
+            .map(ToString::to_string)
+            .collect(),
+        flight_dump: noc.flight_dump_rendered(),
+        telemetry_summary: noc
+            .telemetry_registry()
+            .map(|_| format!("{:?}", noc.telemetry_summary())),
         attribution_json: noc.attribution_report().map(|r| r.render()),
     }
 }
@@ -283,7 +338,7 @@ fn matrix_plans() -> Vec<(&'static str, FaultPlan)> {
 }
 
 /// The full seeded matrix: three meshes, two injection rates, three
-/// fault plans, three observer configurations.
+/// fault plans, four observer configurations.
 #[test]
 fn event_kernel_matches_reference_kernel_across_the_matrix() {
     let specs = [demo_2x2(), campaign_spec(), spread_8x8()];
@@ -291,9 +346,14 @@ fn event_kernel_matches_reference_kernel_across_the_matrix() {
     for (si, spec) in specs.iter().enumerate() {
         for (ri, &rate) in [0.02, 0.10].iter().enumerate() {
             for (pi, (_, plan)) in matrix_plans().iter().enumerate() {
-                for (oi, &obs) in [Observers::None, Observers::Light, Observers::Heavy]
-                    .iter()
-                    .enumerate()
+                for (oi, &obs) in [
+                    Observers::None,
+                    Observers::Light,
+                    Observers::Heavy,
+                    Observers::Campaign,
+                ]
+                .iter()
+                .enumerate()
                 {
                     let seed = 0x9E37
                         ^ ((si as u64) << 24 | (ri as u64) << 16 | (pi as u64) << 8 | oi as u64);
@@ -303,7 +363,75 @@ fn event_kernel_matches_reference_kernel_across_the_matrix() {
             }
         }
     }
-    assert_eq!(points, 54);
+    assert_eq!(points, 72);
+}
+
+/// Where the monitor trips, its findings themselves — the rendered
+/// violation lists and the frozen flight-recorder dumps, not just their
+/// count — match the reference kernel: a stall plan against a liveness
+/// bound shorter than one stall, and every sender sabotaged under
+/// forward corruption. Each point keeps running after the network
+/// drains — stepped by the reference, time-jumped by `Noc::run` — so
+/// liveness bounds expiring on idle channels with lost flits are
+/// compared too.
+#[test]
+fn tripped_monitor_reports_match_reference_kernel() {
+    let spec = campaign_spec();
+    let stall = FaultPlan {
+        stall_rate: 0.01,
+        stall_len: FaultPlan::DEFAULT_STALL_LEN,
+        ..FaultPlan::none()
+    };
+    let corrupt = FaultPlan {
+        flit_corruption_rate: 0.2,
+        ..FaultPlan::none()
+    };
+    let tight: Setup<'_> = &|noc| arm_campaign(noc, 4);
+    let sabotaged = |mode| {
+        move |noc: &mut Noc| {
+            arm_campaign(noc, 64);
+            noc.sabotage_all_senders(mode);
+        }
+    };
+    let skip = sabotaged(FlowSabotage::SkipRetransmission);
+    let reuse = sabotaged(FlowSabotage::ReuseSequence);
+    let drop = sabotaged(FlowSabotage::DropOnNack);
+    // Each point names an invariant its rendered violations must hit.
+    let points: [(&str, &FaultPlan, Setup<'_>, &str); 4] = [
+        (
+            "tight liveness under stalls",
+            &stall,
+            tight,
+            "] liveness on",
+        ),
+        ("skip retransmission", &corrupt, &skip, "] conservation on"),
+        ("reuse sequence", &corrupt, &reuse, "] seq-aliasing on"),
+        ("drop on nack", &corrupt, &drop, "] liveness on"),
+    ];
+    let step_reference_for: fn(&mut Noc, u64) = |noc, cycles| {
+        for _ in 0..cycles {
+            noc.step_reference();
+        }
+    };
+    for (name, plan, setup, kind) in points {
+        let reference = drive_armed(
+            &spec,
+            0.05,
+            plan,
+            7,
+            setup,
+            Noc::step_reference,
+            Some(step_reference_for),
+        );
+        let event = drive_armed(&spec, 0.05, plan, 7, setup, Noc::step, Some(Noc::run));
+        assert!(
+            reference.violations.iter().any(|v| v.contains(kind)),
+            "{name}: no{kind}: {:?}",
+            reference.violations
+        );
+        assert!(!reference.flight_dump.is_empty(), "{name}: no flight dump");
+        assert_eq!(reference, event, "kernels diverged: {name}");
+    }
 }
 
 /// The matrix does real work: the no-fault high-rate point delivers
@@ -452,4 +580,84 @@ fn run_until_idle_matches_manual_drain() {
         (noc.now(), fnv64(&noc.checkpoint()))
     };
     assert_eq!(drain(true), drain(false));
+}
+
+/// The monitor's watch list blocks time jumps: a read whose only flit a
+/// sabotaged sender drops empties the schedule with that flit
+/// undelivered — an unmonitored run jumps from there — so a monitored
+/// `Noc::run` must step to where the liveness bound expires instead of
+/// jumping over it.
+#[test]
+fn monitor_watch_list_blocks_time_jumps() {
+    let spec = campaign_spec();
+    let plan = FaultPlan {
+        flit_corruption_rate: 0.1,
+        ..FaultPlan::none()
+    };
+    let finish = |monitored: bool, jump: bool| {
+        let mut noc = Noc::with_faults(&spec, 4, &plan).expect("assembles");
+        if monitored {
+            arm_campaign(&mut noc, 200);
+        }
+        noc.sabotage_all_senders(FlowSabotage::DropOnNack);
+        let cpu = Driver::new(&spec, 0.0, 0).initiators[0];
+        let req = Request::read(0x40, 1).expect("valid read");
+        noc.submit(cpu, req).expect("submits");
+        if jump {
+            noc.run(1500);
+        } else {
+            for _ in 0..1500 {
+                noc.step_reference();
+            }
+        }
+        let violations: Vec<String> = noc
+            .monitor_violations()
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        let jumps = noc.kernel_health().time_jumps();
+        ((noc.now(), fnv64(&noc.checkpoint()), violations), jumps)
+    };
+    assert!(
+        finish(false, true).1 > 0,
+        "the unmonitored run never jumped"
+    );
+    let (stepped, _) = finish(true, false);
+    assert!(
+        stepped.2.iter().any(|v| v.contains("] liveness on")),
+        "no liveness violation: {:?}",
+        stepped.2
+    );
+    assert_eq!(finish(true, true).0, stepped);
+}
+
+/// Restoring a checkpoint without a trace section into a traced network
+/// that has already recorded leaves the writer's last values from before
+/// the restore; the next step must record every channel, as the
+/// reference does, so the waveform matches.
+#[test]
+fn restore_into_a_recording_trace_matches_reference() {
+    let spec = campaign_spec();
+    let mut source = build(&spec, &FaultPlan::none(), Observers::None, 5);
+    let mut driver = Driver::new(&spec, 0.1, 5 ^ 0x5EED);
+    for cycle in 0..300 {
+        driver.inject(&mut source, cycle);
+        source.step();
+    }
+    let plain = source.checkpoint();
+    let finish = |step: fn(&mut Noc)| {
+        let mut noc = build(&spec, &FaultPlan::none(), Observers::None, 5);
+        noc.enable_trace();
+        let mut driver = Driver::new(&spec, 0.1, 9);
+        for cycle in 0..200 {
+            driver.inject(&mut noc, cycle);
+            step(&mut noc);
+        }
+        noc.restore(&plain).expect("restores");
+        for _ in 0..200 {
+            step(&mut noc);
+        }
+        fnv64(noc.vcd().expect("traced").as_bytes())
+    };
+    assert_eq!(finish(Noc::step), finish(Noc::step_reference));
 }

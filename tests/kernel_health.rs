@@ -1,20 +1,18 @@
 //! Kernel-health observer contract tests.
 //!
-//! `KernelHealth` counts how the engine dispatched every step (event
-//! kernel vs full-scan fallback, with a reason histogram), how often
-//! time jumped and how many cycles that skipped. The counters are pure
-//! functions of the seeded simulation: this suite pins that they are
-//! deterministic across runs, agree between the event and reference
-//! kernels on everything except the dispatch mix itself (which is the
-//! very thing being measured — the reason histogram is exempt from
-//! cross-kernel comparison), and that the fault-campaign progress
-//! journal built on top of them is byte-identical across `--jobs`
-//! worker counts.
+//! `KernelHealth` counts how the engine ran every step (event kernel vs
+//! the full-scan reference oracle), how often time jumped and how many
+//! cycles that skipped. The counters are pure functions of the seeded
+//! simulation: this suite pins that they are deterministic across runs,
+//! that production stepping never leaves the event kernel under any
+//! observer set or fault plan, that the two kernels agree on step
+//! totals, and that the fault-campaign progress journal built on top of
+//! them is byte-identical across `--jobs` worker counts.
 
 use xpipes::monitor::MonitorConfig;
-use xpipes::noc::Noc;
+use xpipes::noc::{Noc, TelemetryConfig};
 use xpipes_ocp::Request;
-use xpipes_sim::{FallbackReason, FaultKind, FaultPlan, KernelHealth, SimRng};
+use xpipes_sim::{FaultKind, FaultPlan, KernelHealth, SimRng};
 use xpipes_topology::spec::NocSpec;
 use xpipes_topology::NiId;
 use xpipes_traffic::faultcampaign::{
@@ -71,17 +69,37 @@ impl Driver {
     }
 }
 
+/// Attaches observers to a freshly assembled network.
+type Arm = fn(&mut Noc);
+
+/// Arms VCD tracing plus the protocol monitor.
+fn arm_heavy(noc: &mut Noc) {
+    noc.enable_trace();
+    noc.enable_monitor(MonitorConfig {
+        liveness_bound: 100_000,
+        max_violations: 64,
+    });
+}
+
+/// Arms the fault-campaign observer set: monitor, telemetry with flight
+/// recorder, attribution.
+fn arm_campaign(noc: &mut Noc) {
+    noc.enable_monitor(MonitorConfig::default());
+    noc.enable_telemetry(TelemetryConfig::full());
+    noc.enable_attribution();
+}
+
 /// Drives one seeded run with the given stepper and returns its health.
 fn run_health(heavy: bool, step: fn(&mut Noc)) -> KernelHealth {
+    let arm: Arm = if heavy { arm_heavy } else { |_| {} };
+    run_armed(&FaultPlan::none(), arm, step)
+}
+
+/// Drives one seeded run under `plan` with the observers `arm` attaches.
+fn run_armed(plan: &FaultPlan, arm: Arm, step: fn(&mut Noc)) -> KernelHealth {
     let spec = campaign_spec();
-    let mut noc = Noc::with_faults(&spec, 23, &FaultPlan::none()).expect("assembles");
-    if heavy {
-        noc.enable_trace();
-        noc.enable_monitor(MonitorConfig {
-            liveness_bound: 100_000,
-            max_violations: 64,
-        });
-    }
+    let mut noc = Noc::with_faults(&spec, 23, plan).expect("assembles");
+    arm(&mut noc);
     let mut driver = Driver::new(&spec, 23 ^ 0x5EED);
     for _ in 0..500 {
         driver.inject(&mut noc);
@@ -108,46 +126,56 @@ fn health_counters_are_deterministic() {
 }
 
 /// Event vs reference kernel on the same seeded run: both take the same
-/// number of steps; the dispatch mix differs by construction (that is
-/// what the counters measure), so only the totals are compared and the
-/// reason histogram is exempt.
+/// number of steps, but the dispatch mix is opposite — production
+/// stepping is all event kernel, a harness driving the oracle is all
+/// reference steps (what `fallback_steps` counts).
 #[test]
 fn kernels_agree_on_step_totals_with_opposite_dispatch_mix() {
     let event = run_health(false, Noc::step);
     let reference = run_health(false, Noc::step_reference);
     assert_eq!(event.steps(), reference.steps(), "step totals diverged");
-    // A bare network rides the event kernel exclusively…
     assert_eq!(event.fallback_steps(), 0);
     assert!(event.event_steps() > 0);
-    // …while a forced reference run is all fallback, attributed to
-    // schedule invalidation (no observer armed it).
     assert_eq!(reference.event_steps(), 0);
-    assert_eq!(
-        reference.fallback_count(FallbackReason::ScheduleInvalidated),
-        reference.fallback_steps()
-    );
+    assert_eq!(reference.fallback_steps(), reference.steps());
 }
 
-/// Tracing plus monitoring pushes every step to the full-scan kernel,
-/// and the reason histogram names both observers on every step.
+/// One kernel runs every configuration: under every observer set
+/// (trace, monitor, the campaign set, all of them) and every fault plan
+/// (stall faults included), production stepping never takes a
+/// reference-oracle step.
 #[test]
-fn heavy_observers_show_up_in_the_reason_histogram() {
-    let health = run_health(true, Noc::step);
-    assert_eq!(health.event_steps(), 0);
-    assert!(health.fallback_steps() > 0);
-    assert_eq!(
-        health.fallback_count(FallbackReason::TraceArmed),
-        health.fallback_steps()
-    );
-    assert_eq!(
-        health.fallback_count(FallbackReason::MonitorArmed),
-        health.fallback_steps()
-    );
-    assert_eq!(health.fallback_count(FallbackReason::StallFaultsActive), 0);
-    // The rendered explanation names the armed observers.
-    let text = health.render();
-    assert!(text.contains("trace_armed"), "{text}");
-    assert!(text.contains("monitor_armed"), "{text}");
+fn every_observer_set_and_stall_plan_stays_on_the_event_kernel() {
+    let observer_sets: [(&str, Arm); 5] = [
+        ("none", |_| {}),
+        ("trace", Noc::enable_trace),
+        ("trace+monitor", arm_heavy),
+        ("campaign", arm_campaign),
+        ("all", |noc| {
+            arm_campaign(noc);
+            noc.enable_trace();
+        }),
+    ];
+    let plans = [
+        FaultPlan::none(),
+        FaultKind::OutputStall.plan(0.05),
+        FaultPlan {
+            flit_corruption_rate: 0.02,
+            ack_loss_rate: 0.01,
+            stall_rate: 0.01,
+            stall_len: FaultPlan::DEFAULT_STALL_LEN,
+            ..FaultPlan::none()
+        },
+    ];
+    for (name, arm) in observer_sets {
+        for plan in &plans {
+            let health = run_armed(plan, arm, Noc::step);
+            assert_eq!(health.fallback_steps(), 0, "{name} under {plan:?}");
+            assert!(health.event_steps() > 0, "{name} under {plan:?}");
+            let text = health.render();
+            assert!(text.contains(" 0 fallback [0.0%]"), "{text}");
+        }
+    }
 }
 
 /// The per-grid-point campaign progress journal is built from
